@@ -8,79 +8,13 @@ summary so that::
 
 captures both the timing numbers (pytest-benchmark's table) and the
 experiment tables the paper-reproduction calls for.
-
-Every bench also runs under the ``repro.obs`` instrumentation: an autouse
-fixture enables the process default, snapshots the metrics registry after
-each bench, and the session writes the per-bench snapshots to
-``BENCH_obs.json`` at the repo root — the measurement substrate future
-perf PRs diff against.
-
-The committed file holds *compact* snapshots (histograms reduced to
-count/mean/p50/p95/max via :func:`repro.obs.compact_snapshot`) so the
-artifact diffs by the numbers that matter instead of hundreds of raw
-bucket arrays.  Run with ``--obs-full`` to write raw bucket-level
-snapshots locally when a perf investigation needs the distributions.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from typing import Dict, List, Sequence
-
-import pytest
+from typing import List, Sequence
 
 _TABLES: List[str] = []
-_OBS_SNAPSHOTS: Dict[str, dict] = {}
-
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-OBS_OUTPUT_PATH = os.path.join(_REPO_ROOT, "BENCH_obs.json")
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--obs-full",
-        action="store_true",
-        default=False,
-        help=(
-            "write raw bucket-level obs snapshots to BENCH_obs.json "
-            "(default: compact summary stats, the committed form)"
-        ),
-    )
-
-
-@pytest.fixture(autouse=True)
-def _obs_per_benchmark(request):
-    """Observe every bench; snapshot and reset the registry around it."""
-    from repro import obs
-
-    instr = obs.enable()
-    instr.reset()
-    yield
-    snapshot = instr.registry.snapshot()
-    if snapshot:
-        if not request.config.getoption("--obs-full"):
-            snapshot = obs.compact_snapshot(snapshot)
-        _OBS_SNAPSHOTS[request.node.nodeid] = {
-            "metrics": snapshot,
-            "trace_records": len(instr.tracer.records()),
-        }
-    instr.reset()
-    obs.disable()
-
-
-def pytest_sessionfinish(session, exitstatus):
-    if not _OBS_SNAPSHOTS:
-        return
-    full = session.config.getoption("--obs-full")
-    payload = {
-        "schema": "repro.obs/bench-snapshots/v2",
-        "compact": not full,
-        "benchmarks": _OBS_SNAPSHOTS,
-    }
-    with open(OBS_OUTPUT_PATH, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True, separators=(",", ":"))
-        handle.write("\n")
 
 
 def record_table(

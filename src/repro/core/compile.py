@@ -9,6 +9,14 @@ module (no imports beyond the standard library, no dependency on
 one spec.  :func:`compile_spec` executes that source and hands back the
 functions.
 
+The generated module embeds, verbatim, the source of the
+:mod:`repro.wire.checksums` functions its checksum fields use and of
+``core.codec._patch_bits``, preceded by the standard-library imports
+those functions need.  So each mechanism has one implementation, which
+the interpreter calls and the generated code copies; the generator
+stages only ``wire.checksums``'s own algorithms and refuses any other
+registered one with :class:`CodegenError`.
+
 Because the generator walks the *same* spec the interpreted codec walks,
 the two implementations are differentially testable: for every packet,
 ``generated.build == spec.encode`` and ``generated.parse == spec.decode``
@@ -27,10 +35,13 @@ Generated modules contain:
 
 from __future__ import annotations
 
-import textwrap
+import dis
+import inspect
+from functools import lru_cache
 from types import ModuleType
-from typing import Any, Callable, Dict, List, NamedTuple, Optional
+from typing import Any, Callable, Dict, FrozenSet, List, NamedTuple, Optional, Tuple
 
+from repro.core.codec import _patch_bits
 from repro.core.fields import (
     Bytes,
     ChecksumField,
@@ -42,6 +53,7 @@ from repro.core.fields import (
     UIntList,
 )
 from repro.core.symbolic import BinOp, Const, Expr, FieldRef, Var
+from repro.wire import checksums
 from repro.wire.bits import ByteOrder
 
 _HELPERS = '''
@@ -71,85 +83,53 @@ def _write_uint(out, bitlen, value, width):
     span = int.from_bytes(out[first:byte_end], "big") | (value << shift)
     out[first:byte_end] = span.to_bytes(byte_end - first, "big")
     return end
-
-
-def _patch_uint(out, bit, width, value):
-    """Overwrite ``width`` bits of bytearray ``out`` at ``bit`` with ``value``."""
-    if width <= 0:
-        return
-    end = bit + width
-    first = bit >> 3
-    byte_end = (end + 7) >> 3
-    shift = (byte_end << 3) - end
-    mask = ((1 << width) - 1) << shift
-    span = int.from_bytes(out[first:byte_end], "big")
-    out[first:byte_end] = ((span & ~mask) | ((value << shift) & mask)).to_bytes(
-        byte_end - first, "big")
 '''
-
-_ALGORITHM_SOURCES: Dict[str, str] = {
-    "xor8": '''
-def _ck_xor8(data):
-    value = 0
-    for byte in data:
-        value ^= byte
-    return value
-''',
-    "internet": '''
-def _ck_internet(data):
-    if len(data) % 2:
-        data = bytes(data) + b"\\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
-    while total >> 16:
-        total = (total & 0xFFFF) + (total >> 16)
-    return ~total & 0xFFFF
-''',
-    "fletcher16": '''
-def _ck_fletcher16(data):
-    c0 = c1 = 0
-    for byte in data:
-        c0 = (c0 + byte) % 255
-        c1 = (c1 + c0) % 255
-    return (c1 << 8) | c0
-''',
-    "crc16-ccitt": '''
-def _ck_crc16_ccitt(data):
-    crc = 0xFFFF
-    for byte in data:
-        crc ^= byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ 0x1021) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
-    return crc
-''',
-    "crc32": '''
-def _ck_crc32(data):
-    import zlib
-    return zlib.crc32(data) & 0xFFFFFFFF
-''',
-    "adler32": '''
-def _ck_adler32(data):
-    import zlib
-    return zlib.adler32(data) & 0xFFFFFFFF
-''',
-}
-
-_ALGORITHM_FUNCTIONS: Dict[str, str] = {
-    "xor8": "_ck_xor8",
-    "internet": "_ck_internet",
-    "fletcher16": "_ck_fletcher16",
-    "crc16-ccitt": "_ck_crc16_ccitt",
-    "crc32": "_ck_crc32",
-    "adler32": "_ck_adler32",
-}
 
 
 class CodegenError(ValueError):
     """Raised when a spec uses features the generator does not stage."""
+
+
+@lru_cache(maxsize=None)
+def _verbatim(function: Callable[..., Any]) -> Tuple[FrozenSet[str], str]:
+    """The modules ``function`` needs, and its source, for emission.
+
+    An emitted function may use no global of its home module except an
+    imported standard-library module; the generated module imports those
+    at its top, never inside a function body (an import per call slows
+    the few-byte covers).
+    """
+    modules = set()
+    for instruction in dis.get_instructions(function):
+        name = instruction.argval
+        if instruction.opname != "LOAD_GLOBAL" or name not in function.__globals__:
+            continue  # not a global, or a builtin
+        value = function.__globals__[name]
+        if not isinstance(value, ModuleType) or value.__name__ != name:
+            raise CodegenError(
+                f"{function.__qualname__} uses the global {name!r}, which "
+                "cannot be emitted into a standalone module"
+            )
+        modules.add(name)
+    return frozenset(modules), inspect.getsource(function)
+
+
+def _checksum_function(spec: Any, field: Any) -> Callable[[bytes], int]:
+    """The ``wire.checksums`` function computing ``field``'s algorithm.
+
+    Looked up by name in the registry.  Only that module's own functions
+    can be emitted verbatim, so an algorithm added with
+    ``register_algorithm`` keeps its spec on the interpreter.
+    """
+    name = field.algorithm.name
+    function = getattr(checksums.CHECKSUM_ALGORITHMS.get(name), "compute", None)
+    if getattr(function, "__module__", None) != checksums.__name__:
+        raise CodegenError(
+            f"spec {spec.name!r}: checksum {field.name!r} uses {name!r}, "
+            "which is not a wire.checksums built-in; the code generator "
+            "stages only those"
+        )
+    return function
 
 
 def _expr_code(expr: Expr, env_name: str = "values") -> str:
@@ -249,13 +229,15 @@ def generate_codec_source(spec: Any) -> str:
     build_lines = _generate_build(spec)
     finalize_lines = _generate_finalize(spec)
     validate_lines = _generate_validate(spec)
-    algorithms = sorted(
+    emitted = [_patch_bits] + sorted(
         {
-            field.algorithm.name
+            _checksum_function(spec, field)
             for field in spec.fields
             if isinstance(field, ChecksumField)
-        }
+        },
+        key=lambda function: function.__name__,
     )
+    modules = sorted(set().union(*(_verbatim(f)[0] for f in emitted)))
     residual = [
         constraint.name
         for constraint in spec.constraints
@@ -276,8 +258,9 @@ def generate_codec_source(spec: Any) -> str:
     header.append('"""')
     parts = [
         "\n".join(header),
+        "".join(f"import {module}\n" for module in modules),
         _HELPERS,
-        "".join(_ALGORITHM_SOURCES[a] for a in algorithms),
+        "\n" + "\n\n".join(_verbatim(f)[1] for f in emitted) + "\n",
         "\n".join(parse_lines),
         "",
         "\n".join(build_lines),
@@ -732,9 +715,9 @@ def _generate_finalize(spec: Any) -> List[str]:
     lines.append("    spans = {}")
     lines.append(f"    buf = bytearray(build_{name}(work, spans))")
     for field in checksum_fields:
-        function = _ALGORITHM_FUNCTIONS[field.algorithm.name]
+        function = _checksum_function(spec, field).__name__
         lines.append(f"    _s, _e = spans[{field.name!r}]")
-        # A memoryview cover: zero-copy, and it tracks the _patch_uint
+        # A memoryview cover: zero-copy, and it tracks the _patch_bits
         # updates of earlier checksums (same-size patches never resize
         # the bytearray, so the exported view stays valid).
         lines.append("    _b = memoryview(buf)")
@@ -747,7 +730,7 @@ def _generate_finalize(spec: Any) -> List[str]:
             lines.append(f"        for _n in {list(field.over)!r})")
         lines.append(f"    _v = {function}(cover)")
         lines.append(f"    work[{field.name!r}] = _v")
-        lines.append(f"    _patch_uint(buf, _s, {field.bits}, _v)")
+        lines.append(f"    _patch_bits(buf, _s, {field.bits}, _v)")
     lines.append("    return work")
     return lines
 
@@ -761,12 +744,12 @@ def _generate_validate(spec: Any) -> List[str]:
     ]
     for field in spec.fields:
         if isinstance(field, ChecksumField):
-            function = _ALGORITHM_FUNCTIONS[field.algorithm.name]
+            function = _checksum_function(spec, field).__name__
             lines.append("    spans = {}")
             lines.append(f"    buf = bytearray(build_{name}(values, spans))")
             lines.append(f"    _s, _e = spans[{field.name!r}]")
             if field.covers_whole_packet:
-                lines.append("    _patch_uint(buf, _s, _e - _s, 0)")
+                lines.append("    _patch_bits(buf, _s, _e - _s, 0)")
                 lines.append("    cover = memoryview(buf)")
             else:
                 lines.append("    cover = b''.join(")

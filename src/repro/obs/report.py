@@ -7,8 +7,7 @@ DSL runtime should be inspectable from a shell, with no collector stack.
 ``render_dashboard`` shows counters, gauges, histograms (with a unicode
 bar sketch of the bucket distribution) and a trace excerpt in which spans
 indent by nesting depth and every line carries *virtual* and *wall* time.
-``export_json`` emits the same data machine-readably (used by the
-benchmark harness to build ``BENCH_obs.json``).
+``export_json`` emits the same data machine-readably.
 """
 
 from __future__ import annotations

@@ -16,9 +16,12 @@ only in their state indexing:
   (buffering *raw* packets is impossible by construction — the buffer
   holds ``Verified`` values).
 
-Sequence numbers here are 16-bit and the runs are finite, so window
-arithmetic never wraps; the machines use unbounded parameters and the
-specs' guards enforce the window discipline symbolically.
+Sequence numbers on the wire are 16-bit while the machines use unbounded
+parameters, and the specs' guards enforce the window discipline
+symbolically.  The receiver's guards compare the wire sequence number
+with its expected one modulo ``2**SEQ_BITS``, so a receiver serving an
+endless stream wraps with it.  The simulated senders below run finite
+transfers of at most ``2**SEQ_BITS`` messages, which never wrap.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from repro.netsim.simulator import Simulator
 from repro.netsim.timers import Timer
 
 SEQ_BITS = 16
+SEQ_MASK = (1 << SEQ_BITS) - 1
 
 #: Data packet for the sliding-window protocols: like the paper's ARQ
 #: packet, with a 16-bit sequence space and a CRC-16 for integrity.
@@ -130,6 +134,8 @@ def build_window_receiver_spec(name: str) -> MachineSpec:
     verified packet without advancing (Go-Back-N re-acks; Selective Repeat
     buffers and acks selectively — that policy lives in the driver, the
     machine only guarantees no unverified packet is ever processed).
+    ``seq`` counts without bound; the guards compare it with the 16-bit
+    wire sequence number modulo ``2**SEQ_BITS``.
     """
     spec = MachineSpec(name, doc="sliding-window receiver")
     seq = Param("seq")
@@ -137,13 +143,17 @@ def build_window_receiver_spec(name: str) -> MachineSpec:
     n = Var("seq")
     spec.transition(
         "RECV", ready_for(n), ready_for(n + 1), requires=SLIDING_PACKET, event="data",
-        guard=lambda bindings, payload: payload.value.seq == bindings["seq"],
+        guard=lambda bindings, payload: (
+            payload.value.seq == bindings["seq"] & SEQ_MASK
+        ),
         doc="accept the expected verified packet and advance",
     )
     spec.transition(
         "OUT_OF_ORDER", ready_for(n), ready_for(n), requires=SLIDING_PACKET,
         event="other",
-        guard=lambda bindings, payload: payload.value.seq != bindings["seq"],
+        guard=lambda bindings, payload: (
+            payload.value.seq != bindings["seq"] & SEQ_MASK
+        ),
         doc="verified but not the expected packet: do not advance",
     )
     spec.expect_events(ready_for, ["data", "other"])

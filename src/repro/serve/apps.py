@@ -41,6 +41,7 @@ from repro.protocols.handshake import (
 )
 from repro.protocols.sliding import (
     KIND_SELECTIVE,
+    SEQ_MASK,
     SLIDING_ACK,
     SLIDING_PACKET,
     build_window_receiver_spec,
@@ -224,7 +225,12 @@ class HandshakeResponderApp(SessionApp):
 
 
 class SlidingResponderApp(SessionApp):
-    """Selective-repeat receiver: buffer verified out-of-order, ack each."""
+    """Selective-repeat receiver: buffer verified out-of-order, ack each.
+
+    Window decisions use the serial distance ``(seq - expected)`` modulo
+    the 16-bit sequence space, so the receiver keeps delivering past seq
+    65535; the buffer is keyed by the 16-bit wire sequence number.
+    """
 
     protocol = "sliding"
     specs = (SLIDING_PACKET, SLIDING_ACK)
@@ -235,7 +241,7 @@ class SlidingResponderApp(SessionApp):
         super().__init__(send, seed, window=window, **params)
         self.window = int(window)
         self._machine = Machine(_window_receiver_spec("SrReceiver"))
-        self.buffer: Dict[int, Any] = {}  # seq -> Verified[SlidingData]
+        self.buffer: Dict[int, Any] = {}  # wire seq -> Verified[SlidingData]
         self.delivered: List[bytes] = []
         self.acks_sent = 0
 
@@ -264,17 +270,18 @@ class SlidingResponderApp(SessionApp):
         if self._machine.try_exec("OUT_OF_ORDER", verified) is None:
             self.rejected += 1
             return
-        if self.expected < seq < self.expected + self.window:
+        distance = (seq - self.expected) & SEQ_MASK
+        if distance < self.window:
             self.buffer[seq] = verified
             self._ack(seq)
-        elif seq < self.expected:
-            self._ack(seq)  # the earlier ack was probably lost: re-ack
+        elif distance > SEQ_MASK >> 1:
+            self._ack(seq)  # behind: the earlier ack was probably lost, re-ack
         else:
             self.rejected += 1  # beyond the advertised window
 
     def _drain_buffer(self) -> None:
-        while self.expected in self.buffer:
-            verified = self.buffer.pop(self.expected)
+        while (self.expected & SEQ_MASK) in self.buffer:
+            verified = self.buffer.pop(self.expected & SEQ_MASK)
             self._machine.exec_trans("RECV", verified)
             self.delivered.append(verified.value.payload)
 

@@ -5,12 +5,24 @@ packet DSL can tie a checksum field's bit width to the algorithm computing
 it (the dependent-typing move of the paper's ``check : Byte -> List Byte ->
 Byte`` function).
 
-All implementations are pure Python, deterministic, and independently
-tested against published test vectors where they exist.
+This module is the only implementation of each algorithm.  Where the
+standard library has one, it does the work: ``binascii.crc_hqx`` for
+CRC-16/CCITT, ``zlib`` for CRC-32 and Adler-32, and an ``array('H')``
+word sum for the Internet checksum.  XOR-8 and Fletcher-16 stay pure
+Python: the standard library has neither, and their covers are a few
+bytes.  The code generator (:mod:`repro.core.compile`) copies these
+functions' source verbatim into every generated codec, so each function
+uses only its arguments and the standard-library modules imported here.
+Each is tested against published test vectors and against a per-byte
+reference implementation kept in the tests.
 """
 
 from __future__ import annotations
 
+import array
+import binascii
+import sys
+import zlib
 from typing import Callable, Dict, NamedTuple
 
 
@@ -33,10 +45,12 @@ def internet_checksum(data: bytes) -> int:
     with a zero byte, per the RFC.
     """
     if len(data) % 2:
-        data = data + b"\x00"
-    total = 0
-    for i in range(0, len(data), 2):
-        total += (data[i] << 8) | data[i + 1]
+        data = bytes(data) + b"\x00"
+    words = array.array("H")
+    words.frombytes(data)
+    if sys.byteorder == "little":
+        words.byteswap()  # the words are big-endian on the wire
+    total = sum(words)
     while total >> 16:
         total = (total & 0xFFFF) + (total >> 16)
     return ~total & 0xFFFF
@@ -54,67 +68,17 @@ def fletcher16(data: bytes) -> int:
 
 def adler32(data: bytes) -> int:
     """Adler-32 checksum (RFC 1950), as used by zlib."""
-    modulus = 65521
-    a = 1
-    b = 0
-    for byte in data:
-        a = (a + byte) % modulus
-        b = (b + a) % modulus
-    return (b << 16) | a
-
-
-_CRC16_POLY = 0x1021  # CCITT polynomial x^16 + x^12 + x^5 + 1
-
-
-def _build_crc16_table() -> tuple:
-    table = []
-    for byte in range(256):
-        crc = byte << 8
-        for _ in range(8):
-            if crc & 0x8000:
-                crc = ((crc << 1) ^ _CRC16_POLY) & 0xFFFF
-            else:
-                crc = (crc << 1) & 0xFFFF
-        table.append(crc)
-    return tuple(table)
-
-
-_CRC16_TABLE = _build_crc16_table()
+    return zlib.adler32(data)
 
 
 def crc16_ccitt(data: bytes, initial: int = 0xFFFF) -> int:
     """CRC-16/CCITT-FALSE (poly 0x1021, init 0xFFFF, no reflection)."""
-    crc = initial
-    for byte in data:
-        crc = ((crc << 8) & 0xFFFF) ^ _CRC16_TABLE[((crc >> 8) ^ byte) & 0xFF]
-    return crc
-
-
-_CRC32_POLY = 0xEDB88320  # reflected IEEE 802.3 polynomial
-
-
-def _build_crc32_table() -> tuple:
-    table = []
-    for byte in range(256):
-        crc = byte
-        for _ in range(8):
-            if crc & 1:
-                crc = (crc >> 1) ^ _CRC32_POLY
-            else:
-                crc >>= 1
-        table.append(crc)
-    return tuple(table)
-
-
-_CRC32_TABLE = _build_crc32_table()
+    return binascii.crc_hqx(data, initial)
 
 
 def crc32(data: bytes) -> int:
     """CRC-32 (IEEE 802.3, as used by Ethernet, gzip and PNG)."""
-    crc = 0xFFFFFFFF
-    for byte in data:
-        crc = (crc >> 8) ^ _CRC32_TABLE[(crc ^ byte) & 0xFF]
-    return crc ^ 0xFFFFFFFF
+    return zlib.crc32(data)
 
 
 class ChecksumAlgorithm(NamedTuple):

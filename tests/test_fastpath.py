@@ -16,8 +16,10 @@ from repro import fastpath, obs
 from repro.conformance.registry import all_spec_entries
 from repro.core import codec
 from repro.core.codec import DecodeError
-from repro.core.fields import UInt
+from repro.core.fields import Bytes, ChecksumField, UInt
 from repro.core.packet import PacketSpec
+from repro.core.symbolic import this
+from repro.wire.checksums import CHECKSUM_ALGORITHMS, register_algorithm
 
 
 @pytest.fixture(autouse=True)
@@ -326,6 +328,42 @@ def test_subclassed_fields_are_refused_not_misread():
     stats = fastpath.stats()
     assert stats["failures"] == 1
     assert stats["compiles"] == 1
+
+
+def _sum8_spec():
+    if "test-fp-sum8" not in CHECKSUM_ALGORITHMS:
+        register_algorithm("test-fp-sum8", 8, lambda data: sum(data) & 0xFF)
+    return PacketSpec(
+        "FpSum8",
+        fields=[
+            UInt("seq", bits=8),
+            ChecksumField(
+                "chk", algorithm="test-fp-sum8", over=("seq", "length", "payload")
+            ),
+            UInt("length", bits=8),
+            Bytes("payload", length=this.length),
+        ],
+    )
+
+
+@pytest.mark.parametrize("mode", ["auto", "always"])
+def test_registered_checksum_algorithm_stays_interpreted(mode):
+    # The generator emits only wire.checksums' own functions; a spec using
+    # a registered algorithm is refused (CodegenError), not crashed on.
+    spec = _sum8_spec()
+    with fastpath.use(mode=mode, threshold=64):
+        for index in range(200):
+            payload = bytes([index & 0xFF, 1, 2])
+            packet = spec.make(seq=index & 0xFF, length=3, payload=payload)
+            wire = spec.encode(packet)
+            assert wire[1] == (sum(wire) - wire[1]) & 0xFF
+            assert spec.parse(wire).value == packet
+        state = fastpath.state_of(spec)
+        assert state.status == "interpreted"
+        assert "test-fp-sum8" in state.reason
+    stats = fastpath.stats()
+    assert stats["failures"] == 1
+    assert stats["compiles"] == 0
 
 
 def test_refusal_and_demotion_are_terminal_until_reset():

@@ -31,7 +31,8 @@ from repro.baseline.sockets_arq import BlockingArqClient
 from repro.core.machine import Machine
 from repro.modelcheck.explicit import successors_of
 from repro.protocols.arq import ARQ_PACKET, build_receiver_spec
-from repro.serve.apps import ArqResponderApp, build_app
+from repro.protocols.sliding import KIND_SELECTIVE, SLIDING_ACK, SLIDING_PACKET
+from repro.serve.apps import ArqResponderApp, SlidingResponderApp, build_app
 from repro.serve.framing import FramingError, StreamDeframer, encode_frame
 from repro.serve.loopback import (
     LoopbackConfig,
@@ -243,6 +244,39 @@ class TestSessionManager:
         assert len(records) == 1
         assert len(records[0].inbound()) == 1
         assert len(records[0].outbound()) == 1  # the ack
+
+
+class TestSlidingResponderWrap:
+    """The selective-repeat responder across the 16-bit sequence wrap."""
+
+    @staticmethod
+    def _frame(seq):
+        payload = b"p%d" % seq
+        packet = SLIDING_PACKET.make(seq=seq, length=len(payload), payload=payload)
+        return SLIDING_PACKET.encode(packet)
+
+    @staticmethod
+    def _ack(seq):
+        return SLIDING_ACK.encode(SLIDING_ACK.make(kind=KIND_SELECTIVE, seq=seq))
+
+    def test_delivers_in_order_across_the_wrap(self):
+        sent = []
+        app = SlidingResponderApp(sent.append, window=8)
+        spec = app.machine.spec
+        app._machine = Machine(spec, initial=spec.states["ReadyFor"].instance(65530))
+        # In order, out of order before the wrap, out of order across it
+        # (0 before 65535, 2 before 1), a late duplicate, one frame past
+        # the window.
+        order = [65530, 65531, 65533, 65532, 65534, 0, 65535, 2, 1, 3, 4, 5,
+                 65535, 14]
+        for seq in order:
+            app.on_frame(self._frame(seq))
+        wanted = list(range(65530, 65536)) + list(range(6))
+        assert app.delivered == [b"p%d" % seq for seq in wanted]
+        assert sent == [self._ack(seq) for seq in order[:-1]]
+        assert app.rejected == 1  # seq 14: eight past expected seq 6
+        assert app.buffer == {}
+        assert app.expected == 65536 + 6
 
 
 class TestSlabStorage:

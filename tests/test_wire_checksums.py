@@ -1,5 +1,7 @@
-"""Checksum algorithms against published test vectors and basic laws."""
+"""Checksum algorithms against published test vectors, basic laws, and
+per-byte reference implementations kept here as the oracle."""
 
+import random
 import zlib
 
 import pytest
@@ -15,6 +17,108 @@ from repro.wire.checksums import (
     register_algorithm,
     xor8,
 )
+
+# --- per-byte reference implementations ---
+
+
+def ref_xor8(data):
+    value = 0
+    for byte in data:
+        value ^= byte
+    return value
+
+
+def ref_fletcher16(data):
+    c0 = c1 = 0
+    for byte in data:
+        c0 = (c0 + byte) % 255
+        c1 = (c1 + c0) % 255
+    return (c1 << 8) | c0
+
+
+def ref_internet_checksum(data):
+    if len(data) % 2:
+        data = bytes(data) + b"\x00"
+    total = 0
+    for i in range(0, len(data), 2):
+        total += (data[i] << 8) | data[i + 1]
+    while total >> 16:
+        total = (total & 0xFFFF) + (total >> 16)
+    return ~total & 0xFFFF
+
+
+def ref_adler32(data):
+    a, b = 1, 0
+    for byte in data:
+        a = (a + byte) % 65521
+        b = (b + a) % 65521
+    return (b << 16) | a
+
+
+def _crc16_table():
+    table = []
+    for byte in range(256):
+        crc = byte << 8
+        for _ in range(8):
+            crc = ((crc << 1) ^ 0x1021) & 0xFFFF if crc & 0x8000 else (crc << 1) & 0xFFFF
+        table.append(crc)
+    return table
+
+
+def _crc32_table():
+    table = []
+    for byte in range(256):
+        crc = byte
+        for _ in range(8):
+            crc = (crc >> 1) ^ 0xEDB88320 if crc & 1 else crc >> 1
+        table.append(crc)
+    return table
+
+
+_CRC16_TABLE = _crc16_table()
+_CRC32_TABLE = _crc32_table()
+
+
+def ref_crc16_ccitt(data, initial=0xFFFF):
+    crc = initial
+    for byte in data:
+        crc = ((crc << 8) & 0xFFFF) ^ _CRC16_TABLE[((crc >> 8) ^ byte) & 0xFF]
+    return crc
+
+
+def ref_crc32(data):
+    crc = 0xFFFFFFFF
+    for byte in data:
+        crc = (crc >> 8) ^ _CRC32_TABLE[(crc ^ byte) & 0xFF]
+    return crc ^ 0xFFFFFFFF
+
+
+REFERENCES = [
+    (xor8, ref_xor8),
+    (fletcher16, ref_fletcher16),
+    (internet_checksum, ref_internet_checksum),
+    (adler32, ref_adler32),
+    (crc16_ccitt, ref_crc16_ccitt),
+    (crc32, ref_crc32),
+]
+
+_RNG = random.Random(1071)
+_INPUTS = [bytes(_RNG.randrange(256) for _ in range(n)) for n in range(301)]
+
+
+@pytest.mark.parametrize(
+    "function,reference", REFERENCES, ids=[f.__name__ for f, _ in REFERENCES]
+)
+@pytest.mark.parametrize("kind", [bytes, bytearray, memoryview])
+def test_matches_reference_at_every_length(function, reference, kind):
+    for data in _INPUTS:
+        assert function(kind(data)) == reference(data), len(data)
+
+
+@pytest.mark.parametrize("initial", [0x0000, 0x1D0F, 0xFFFF])
+def test_crc16_non_default_initial_matches_reference(initial):
+    for data in _INPUTS:
+        assert crc16_ccitt(data, initial) == ref_crc16_ccitt(data, initial)
 
 
 class TestXor8:
