@@ -22,7 +22,8 @@ Layout
     Per-spec tier state, the fingerprint-keyed codec cache, demotion.
 ``batch``
     ``encode_many``/``decode_many`` — per-call overhead amortized over a
-    batch (imported lazily: it pulls in the full ``repro.core``).
+    batch, always in the calling process (imported lazily: it pulls in
+    the full ``repro.core``).
 """
 
 from __future__ import annotations

@@ -287,7 +287,8 @@ def replay_bundle(bundle: FlightBundle) -> Tuple[str, str]:
     ``status`` is ``"reproduced"`` (the recorded failure recurs),
     ``"drifted"`` (it no longer does — the bug moved or was fixed), or
     ``"unreplayable"`` (the bundle is operational context with no
-    deterministic re-execution, e.g. a parallel fallback).
+    deterministic re-execution: any kind but ``fuzz_*`` and
+    ``fastpath_demotion``).
 
     Imports the conformance/fastpath machinery lazily: loading a bundle
     is cheap, replaying one pulls in the full stack.

@@ -1,110 +1,22 @@
-"""``repro.parallel`` — the sharded multi-process execution plane.
+"""``repro.parallel`` — a forked-worker pool for coarse work units.
 
-The single-process tier ladder (interpreted → compiled → batch, PR 3)
-ends at one core.  This package adds the fourth rung: a
-:class:`~repro.parallel.pool.ShardedPool` of forked workers that the
-batch codec APIs and the conformance runner dispatch into transparently
-when the process-wide :class:`~repro.parallel.policy.Parallel` policy
-allows it (``REPRO_PARALLEL`` env: ``off`` / ``auto`` / N).
+A :class:`~repro.parallel.pool.ShardedPool` runs deterministic
+``(target, kwargs)`` call units — a dotted function name plus picklable
+arguments — across forked workers and returns their results in input
+order.  Two callers use it, each opening its own pool and closing it
+when done: parallel conformance (:mod:`repro.parallel.confrun`, one
+fuzz/differential/machine unit per call) and megasim shards
+(:mod:`repro.megasim.shard`).  Both produce output byte-identical to
+their serial runs.
 
-Design rule: **fingerprints, not closures, cross the process
-boundary.**  Workers receive a spec's structural fingerprint plus (once
-per worker) the generated standalone codec source — never pickled
-closures or spec objects — so the plane stays correct under
-``fork``/``spawn`` alike and a worker's cache can be warmed, audited,
-and discarded by content hash.  See DESIGN.md.
+Nothing else forks: the codec tiers, batch APIs included, always run
+in-process.  Sharding per-packet codec work lost to the in-process
+batch loop on every spec measured, because pickling and queue hops cost
+more than the work they carried (EXPERIMENTS.md E16).  See DESIGN.md.
 """
 
 from __future__ import annotations
 
-import atexit
-from typing import Optional
-
-from repro.parallel.policy import (
-    Parallel,
-    configure,
-    get_policy,
-    resolve_workers,
-    set_policy,
-    use,
-)
 from repro.parallel.pool import CallError, ParallelFallback, ShardedPool
 
-__all__ = [
-    "Parallel",
-    "ParallelFallback",
-    "CallError",
-    "ShardedPool",
-    "configure",
-    "get_policy",
-    "get_pool",
-    "maybe_pool",
-    "resolve_workers",
-    "set_policy",
-    "shutdown",
-    "stats",
-    "use",
-]
-
-_pool: Optional[ShardedPool] = None
-
-
-def get_pool() -> Optional[ShardedPool]:
-    """The process-wide pool sized by the current policy (or None if off).
-
-    Rebuilt lazily whenever the policy's worker count changes, so tests
-    and CLIs can flip ``configure(workers=...)`` and get a matching pool
-    on the next batch.
-    """
-    global _pool
-    policy = get_policy()
-    if policy.workers < 2:
-        if _pool is not None:
-            _pool.close()
-            _pool = None
-        return None
-    # Dead workers are the pool's own problem (it respawns them during
-    # collection); only a size change warrants a rebuild here, so crash
-    # bookkeeping in ``pool.stats`` survives across batches.
-    if _pool is not None and _pool.size != policy.workers:
-        _pool.close()
-        _pool = None
-    if _pool is None:
-        _pool = ShardedPool(policy.workers, chunk_timeout=policy.chunk_timeout)
-    return _pool
-
-
-def maybe_pool(batch_size: int) -> Optional[ShardedPool]:
-    """The pool iff policy says this batch is worth sharding, else None."""
-    policy = get_policy()
-    if policy.workers < 2 or batch_size < policy.min_batch:
-        return None
-    return get_pool()
-
-
-def stats() -> dict:
-    """Pool counters (zeros when no pool has been started)."""
-    base = {
-        "workers": 0,
-        "batches_sharded": 0,
-        "chunks": 0,
-        "calls": 0,
-        "worker_failures": 0,
-        "fallbacks": 0,
-        "source_ships": 0,
-    }
-    if _pool is not None:
-        base.update(_pool.stats)
-        base["workers"] = _pool.size
-    return base
-
-
-def shutdown() -> None:
-    """Stop the process-wide pool (restarted lazily on next use)."""
-    global _pool
-    if _pool is not None:
-        _pool.close()
-        _pool = None
-
-
-atexit.register(shutdown)
+__all__ = ["CallError", "ParallelFallback", "ShardedPool"]

@@ -24,7 +24,6 @@ from typing import List, Optional
 
 from repro.obs.instrument import enable as obs_enable
 from repro.serve.client import WheelRunner, build_client
-from repro.serve.loop import LOOP_CHOICES, choose_loop, run as run_under_loop
 from repro.serve.loopback import LoopbackConfig, run_loopback
 from repro.serve.record import save_records
 from repro.serve.transport import ServeConfig, Server
@@ -53,11 +52,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--record", metavar="FILE", default=None,
         help="write per-session exchange records (JSONL) on shutdown",
-    )
-    serve.add_argument(
-        "--loop", choices=list(LOOP_CHOICES), default=None,
-        help="event loop policy (default: $REPRO_SERVE_LOOP, else auto; "
-        "uvloop falls back to asyncio when not installed)",
     )
 
     client = sub.add_parser("client", help="run one DSL client against a server")
@@ -92,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-async def _serve(args: argparse.Namespace, loop_name: str = "asyncio") -> int:
+async def _serve(args: argparse.Namespace) -> int:
     obs_enable()
     params = {"window": args.window} if args.protocol == "sliding" else {}
     server = await Server.start(
@@ -116,7 +110,7 @@ async def _serve(args: argparse.Namespace, loop_name: str = "asyncio") -> int:
         ports.append(f"tcp:{server.tcp_port}")
     print(
         f"serving {args.protocol} on {args.host} [{', '.join(ports)}] "
-        f"(max {args.max_sessions} sessions, {loop_name} loop); Ctrl-C stops",
+        f"(max {args.max_sessions} sessions); Ctrl-C stops",
         flush=True,
     )
     stop = asyncio.Event()
@@ -216,8 +210,7 @@ async def _loopback(args: argparse.Namespace) -> int:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "serve":
-        choice = choose_loop(args.loop)
-        return run_under_loop(_serve(args, loop_name=choice.name), choice)
+        return asyncio.run(_serve(args))
     if args.command == "client":
         return asyncio.run(_client(args))
     return asyncio.run(_loopback(args))

@@ -24,7 +24,7 @@ import threading
 
 import pytest
 
-from repro import obs, parallel
+from repro import obs
 from repro.conformance.corpus import Corpus
 from repro.conformance.coverage import CoverageMap
 from repro.conformance.mutate import BUG_NONVERBATIM, MutationFuzzer, classify
@@ -40,18 +40,14 @@ from repro.obs.live.expose import Exporter, JsonlSink, MetricsServer, prometheus
 from repro.obs.live.stream import LiveAggregator, TelemetryStreamer, stream_interval
 from repro.obs.live.top import load_export, render_frame, render_rates
 from repro.parallel.confrun import run_all_parallel
-from repro.parallel.policy import _from_env
 from repro.testing import random_packet
 
 
 @pytest.fixture(autouse=True)
 def _clean_plane():
-    """No leaked pool, policy, process obs state, or armed recorder."""
-    parallel.set_policy(parallel.Parallel(workers=0))
+    """No leaked process obs state or armed recorder."""
     flightrec.install_recorder(None)
     yield
-    parallel.shutdown()
-    parallel.set_policy(_from_env())
     flightrec.reset_env_cache()
     obs.get_default().reset()
     obs.disable()

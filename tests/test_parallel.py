@@ -1,138 +1,93 @@
-"""``repro.parallel``: sharded batches, parallel conformance, crash recovery.
+"""``repro.parallel``: parallel conformance, crash recovery, no stray forks.
 
-The contract under test everywhere here is *transparency*: turning the
-pool on (or having a worker die mid-batch) may change timing, but never
-results — batch outputs, conformance findings, coverage, and corpus
-files must be byte-identical to the serial run.
+The contract under test is *transparency*: running conformance units
+in the pool (or having a worker die mid-run) may change timing, but
+never results — findings, coverage, and corpus files must be
+byte-identical to the serial run.  The pool is for coarse units only:
+the codec batch APIs never fork, and a parallel run leaves no worker
+behind once it returns.
 """
 
+import multiprocessing
 import random
 
 import pytest
 
-from repro import fastpath, obs, parallel
+from repro import obs
 from repro.conformance.registry import all_spec_entries
-from repro.conformance.runner import run_all
+from repro.conformance.runner import derive_rng, run_all
+from repro.core.codec import decode_packet, encode_verbatim
 from repro.fastpath import batch
 from repro.parallel.confrun import execute_unit, plan_units, run_all_parallel
-from repro.parallel.policy import _from_env
-from repro.parallel.pool import CallError
+from repro.parallel.pool import CallError, ShardedPool
+
+_DERIVE = "repro.conformance.runner:derive_rng"
 
 
-@pytest.fixture(autouse=True)
-def _clean_parallel():
-    """Every test starts serial and leaves no pool (or policy) behind."""
-    parallel.set_policy(parallel.Parallel(workers=0))
-    yield
-    parallel.shutdown()
-    parallel.set_policy(_from_env())
-
-
-@pytest.fixture
+@pytest.fixture(scope="module")
 def tcp_corpus():
     entry = next(e for e in all_spec_entries() if e.name == "TcpHeader")
     rng = random.Random(11)
-    packets = [entry.generate(rng) for _ in range(300)]
+    packets = [entry.generate(rng) for _ in range(4096)]
     values = [p._values for p in packets]
     wires = [entry.spec.encode(p) for p in packets]
     return entry.spec, values, wires
 
 
-class TestPolicy:
-    def test_token_resolution(self):
-        assert parallel.resolve_workers("off") == 0
-        assert parallel.resolve_workers("none") == 0
-        assert parallel.resolve_workers("0") == 0
-        assert parallel.resolve_workers("1") == 0  # one worker buys nothing
-        assert parallel.resolve_workers("3") == 3
-        assert parallel.resolve_workers("auto") >= 0
-
-    def test_use_restores_policy(self):
-        before = parallel.get_policy()
-        with parallel.use(workers=4, min_batch=7):
-            assert parallel.get_policy().workers == 4
-            assert parallel.get_policy().min_batch == 7
-        assert parallel.get_policy() == before
-
-    def test_small_batches_never_shard(self):
-        with parallel.use(workers=2, min_batch=1000):
-            assert parallel.maybe_pool(999) is None
-
-    def test_invalid_policy_rejected(self):
-        with pytest.raises(ValueError):
-            parallel.Parallel(workers=-1)
-
-
-class TestShardedBatches:
-    def test_sharded_outputs_identical_to_serial(self, tcp_corpus):
-        spec, values, wires = tcp_corpus
-        with fastpath.use(mode="always"):
-            serial_enc = batch.encode_many(spec, values)
-            serial_dec = batch.decode_many(spec, wires)
-            with parallel.use(workers=2, min_batch=64):
-                sharded_enc = batch.encode_many(spec, values)
-                sharded_dec = batch.decode_many(spec, wires)
-        assert sharded_enc == serial_enc
-        assert sharded_dec == serial_dec
-        stats = parallel.stats()
-        assert stats["batches_sharded"] == 2
-        assert stats["chunks"] == 4
-        assert stats["worker_failures"] == 0
-
-    def test_source_shipped_once_per_worker(self, tcp_corpus):
+class TestInProcessBatches:
+    def test_encode_many_forks_nothing_and_matches_per_item_loop(self, tcp_corpus):
         spec, values, _ = tcp_corpus
-        with fastpath.use(mode="always"), parallel.use(workers=2, min_batch=64):
-            batch.encode_many(spec, values)
-            first = parallel.stats()["source_ships"]
-            batch.encode_many(spec, values)
-        assert first == 2  # one ship per worker
-        assert parallel.stats()["source_ships"] == 2  # warm cache: no re-ship
+        encoded = batch.encode_many(spec, values)
+        assert multiprocessing.active_children() == []
+        assert encoded == [encode_verbatim(spec, v) for v in values]
 
-    def test_off_policy_is_serial(self, tcp_corpus):
-        spec, values, _ = tcp_corpus
-        with fastpath.use(mode="always"), parallel.use(workers=0):
-            batch.encode_many(spec, values)
-        assert parallel.stats()["batches_sharded"] == 0
+    def test_decode_many_forks_nothing_and_matches_per_item_loop(self, tcp_corpus):
+        spec, _, wires = tcp_corpus
+        decoded = batch.decode_many(spec, wires)
+        assert multiprocessing.active_children() == []
+        assert decoded == [decode_packet(spec, w) for w in wires]
 
 
 class TestCrashRecovery:
-    def test_worker_crash_falls_back_then_recovers(self, tcp_corpus):
-        spec, values, _ = tcp_corpus
+    def test_worker_crash_fails_only_its_units_then_recovers(self):
+        calls = [(_DERIVE, {"seed": seed}) for seed in range(4)]
+        expected = [derive_rng(seed).getstate() for seed in range(4)]
         instr = obs.enable()
         instr.registry.reset()
+        pool = ShardedPool(2)
         try:
-            with fastpath.use(mode="always"):
-                expected = batch.encode_many(spec, values)
-                with parallel.use(workers=2, min_batch=64):
-                    pool = parallel.get_pool()
-                    pool.inject_crash(0)
-                    crashed = batch.encode_many(spec, values)
-                    assert crashed == expected  # in-process fallback, same bytes
-                    stats = parallel.stats()
-                    assert stats["worker_failures"] >= 1
-                    assert stats["fallbacks"] >= 1
-                    assert instr.registry.value(
-                        "parallel.worker_failures", reason="crash"
-                    ) >= 1
-                    # The pool respawned the dead slot: the next batch
-                    # shards again instead of limping along serial.
-                    sharded_before = stats["batches_sharded"]
-                    again = batch.encode_many(spec, values)
-                    assert again == expected
-                    assert parallel.stats()["batches_sharded"] > sharded_before
-                    assert pool.alive()
+            pool.inject_crash(0)
+            results = pool.run_calls(calls)
+            # Units are dealt round-robin: slot 0 held units 0 and 2.
+            for unit in (0, 2):
+                assert isinstance(results[unit], CallError)
+            for unit in (1, 3):
+                assert results[unit].getstate() == expected[unit]
+            assert pool.stats["worker_failures"] >= 1
+            assert instr.registry.value(
+                "parallel.worker_failures", reason="crash"
+            ) >= 1
+            # The dead slot was respawned: the next run is whole again.
+            assert pool.alive()
+            again = pool.run_calls(calls)
+            assert not any(isinstance(r, CallError) for r in again)
+            assert [r.getstate() for r in again] == expected
         finally:
+            pool.close()
+            obs.get_default().reset()
             obs.disable()
 
     def test_call_errors_are_lenient(self):
-        with parallel.use(workers=2):
-            pool = parallel.get_pool()
+        pool = ShardedPool(2)
+        try:
             results = pool.run_calls(
                 [
-                    ("repro.conformance.runner:derive_rng", {"seed": 1}),
+                    (_DERIVE, {"seed": 1}),
                     ("repro.no_such_module:missing", {}),
                 ]
             )
+        finally:
+            pool.close()
         assert not isinstance(results[0], CallError)
         assert isinstance(results[1], CallError)
         assert "no_such_module" in results[1].message
@@ -200,3 +155,9 @@ class TestParallelConformance:
     def test_execute_unit_rejects_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown conformance unit"):
             execute_unit("quantum", "x", 0, 1, 1)
+
+
+class TestPoolLifetime:
+    def test_parallel_run_leaves_no_live_worker(self):
+        run_all_parallel(workers=2, seed=3, budget=40, engines=("machine",))
+        assert multiprocessing.active_children() == []
